@@ -167,14 +167,14 @@ pub fn measure_session_phases(samples: usize) -> SessionPhases {
         }
     }
 
-    // Upload: POST the PEM body the probe above would upload. The body
-    // clone inside the timed loop is deliberate — a real session builds
-    // its own body per upload.
+    // Upload: POST the PEM body the probe above would upload. Framing
+    // the request inside the timed loop is deliberate — a real session
+    // frames its own request per upload.
     let body = pem::encode_certificates(&config.chain).into_bytes();
     let mut upload = Vec::with_capacity(samples);
     for block in 0..samples {
         let mut net = Network::new(NetworkConfig::default(), 70 + block as u64);
-        net.listen(srv, 80, Box::new(move |_| Box::new(HttpPostServer::new(|_req| {}))));
+        net.listen(srv, 80, Box::new(move |_| Box::new(HttpPostServer::new(|_, _| {}))));
         let oks: Vec<_> = (0..PHASE_BATCH).map(|_| Shared::new(false)).collect();
         let start = Instant::now();
         for (i, ok) in oks.iter().enumerate() {
@@ -182,11 +182,7 @@ pub fn measure_session_phases(samples: usize) -> SessionPhases {
                 Ipv4([198, 51, 100, (i % 200 + 1) as u8]),
                 srv,
                 80,
-                Box::new(HttpPostClient::new(
-                    "/report?host=phase.example",
-                    body.clone(),
-                    ok.clone(),
-                )),
+                Box::new(HttpPostClient::new("/report?host=phase.example", &body, ok.clone())),
             ));
         }
         die(net.run());

@@ -49,8 +49,10 @@ pub fn by_country(db: &Database, top_n: usize) -> (Vec<CountryRow>, CountryRow, 
         .map(|(c, (proxied, total))| CountryRow { country: Some(c), proxied, total })
         .collect();
     // Table 3 ranks by proxied count; Table 7 by total. Rank by proxied
-    // then total, which reproduces both orderings' top sets closely.
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.proxied), std::cmp::Reverse(r.total)));
+    // then total, which reproduces both orderings' top sets closely; the
+    // country breaks ties, so which tied rows make the top `top_n`, and
+    // their order, never depends on hash-map order.
+    rows.sort_by_key(|r| (std::cmp::Reverse(r.proxied), std::cmp::Reverse(r.total), r.country));
 
     let tail = rows.split_off(rows.len().min(top_n));
     let other = CountryRow {
@@ -187,6 +189,28 @@ mod tests {
 
     fn db(records: Vec<MeasurementRecord>) -> Database {
         Database::from_records(records)
+    }
+
+    #[test]
+    fn by_country_breaks_ties_by_country_code() {
+        // Five countries tie on (proxied, total); only two fit in the top
+        // rows. Every call hashes into a fresh map with its own order, so
+        // repeated calls catch any dependence on it.
+        let tied = ["US", "DE", "FR", "BR", "JP"];
+        let mut records = vec![record("CN", true, Some("x")), record("CN", false, None)];
+        for code in tied {
+            records.push(record(code, true, Some("x")));
+        }
+        let db = db(records);
+        let mut expected: Vec<CountryCode> = tied.iter().map(|c| by_code(c).unwrap()).collect();
+        expected.sort();
+        let first = by_country(&db, 3);
+        let countries: Vec<_> = first.0.iter().map(|r| r.country).collect();
+        assert_eq!(countries, [by_code("CN"), Some(expected[0]), Some(expected[1])]);
+        assert_eq!(first.1, CountryRow { country: None, proxied: 3, total: 3 });
+        for _ in 0..32 {
+            assert_eq!(by_country(&db, 3), first);
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //!   back to injection order.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -666,29 +667,40 @@ impl ReportingProbe {
             return;
         }
         self.reported = true;
-        let body = {
+        let path =
+            ReportPath { host: self.host_name, impression: self.impression, attempt: self.attempt };
+        let upload = {
             let o = self.outcome.lock();
-            // Re-encode the captured DER chain as concatenated PEM — the
-            // exact §3.2 wire format.
-            let mut text = String::new();
-            for der in &o.chain_der {
-                text.push_str(&pem::pem_encode(der));
-            }
-            text.into_bytes()
+            // The captured DER chain as concatenated PEM — the exact §3.2
+            // wire format — encoded straight into the request buffer.
+            let body_len = o.chain_der.iter().map(|der| pem::pem_encoded_len(der.len())).sum();
+            HttpPostClient::with_body(path, body_len, Shared::new(false), |out| {
+                for der in &o.chain_der {
+                    pem::pem_encode_into(der, out);
+                }
+            })
         };
-        let ok = Shared::new(false);
+        let _ = io.dial_with_source(self.client_ip, self.report_server, 80, Box::new(upload));
+    }
+}
+
+/// The upload path `/report?host=NAME&imp=N[&att=N]`, written straight
+/// into the request.
+struct ReportPath {
+    host: &'static str,
+    impression: u64,
+    attempt: u32,
+}
+
+impl fmt::Display for ReportPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "/report?host={}&imp={}", self.host, self.impression)?;
         // `att=` rides along only on retried attempts, keeping first-
         // attempt wire bytes identical to the retry-free build.
-        let mut path = format!("/report?host={}&imp={}", self.host_name, self.impression);
         if self.attempt > 1 {
-            path.push_str(&format!("&att={}", self.attempt));
+            write!(f, "&att={}", self.attempt)?;
         }
-        let _ = io.dial_with_source(
-            self.client_ip,
-            self.report_server,
-            80,
-            Box::new(HttpPostClient::new(&path, body, ok)),
-        );
+        Ok(())
     }
 }
 
