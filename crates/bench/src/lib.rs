@@ -49,15 +49,6 @@ pub fn threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
-/// Client logical processes for the conservative-parallel drive
-/// (`TLSFOE_PARTITIONS`, default 1 = the batched single-loop path).
-/// Any value produces the same bit-identical databases and therefore
-/// byte-identical experiment stdout; >1 trades the per-shard loops for
-/// fabric partitions driven by `TLSFOE_THREADS` workers.
-pub fn partitions() -> usize {
-    std::env::var("TLSFOE_PARTITIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-}
-
 /// Sessions per event-loop drive (`TLSFOE_BATCH`, default 64).
 pub fn batch() -> usize {
     std::env::var("TLSFOE_BATCH")
@@ -73,7 +64,6 @@ pub fn config(era: StudyEra) -> StudyConfig {
         scale: scale(),
         seed: seed(),
         threads: threads(),
-        partitions: partitions(),
         baseline: false,
         proxy_boost: 1.0,
         batch: batch(),

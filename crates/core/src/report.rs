@@ -136,10 +136,9 @@ pub struct ReportServer {
     authoritative: HashMap<&'static str, (Vec<u8>, &'static str, HostCategory)>,
     geo: GeoDb,
     db: Shared<Database>,
-    /// See [`IngestMemo`]. The lock is uncontended in a batched run (the
-    /// server is per-shard) and serializes concurrent uploads in a
-    /// partitioned run, where every client partition reports into the
-    /// one server partition.
+    /// See [`IngestMemo`]. The lock is never contended: every shard owns
+    /// its own server. It is a `Mutex` rather than a `RefCell` only
+    /// because the server's listener factory must be `Send`.
     memo: Mutex<IngestMemo>,
 }
 

@@ -23,10 +23,7 @@ use tlsfoe_adsim::{Campaign, Inventory};
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_geo::countries::{by_code, CountryCode};
 use tlsfoe_geo::GeoDb;
-use tlsfoe_netsim::{
-    Fabric, FaultProfile, LinkProfile, LogicalProcess, NetRunError, Network, NetworkConfig,
-    ServiceProcess, Shared,
-};
+use tlsfoe_netsim::{FaultProfile, LinkProfile, NetRunError, Shared};
 use tlsfoe_population::model::{ClientProfile, PopulationModel, StudyEra};
 
 use crate::hosts::HostCatalog;
@@ -97,6 +94,10 @@ impl std::error::Error for StudyError {}
 /// impression count so client IPs stay distinct).
 const GEO_BLOCK: u32 = 8_000_000;
 
+/// Studies with fewer impressions than this run as one shard whatever
+/// [`StudyConfig::threads`] asks for.
+pub const SERIAL_BELOW: usize = 256;
+
 /// Study configuration.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
@@ -108,18 +109,6 @@ pub struct StudyConfig {
     pub seed: u64,
     /// Worker threads (1 = fully serial).
     pub threads: usize,
-    /// Client logical processes for the conservative-parallel drive
-    /// (default 1 = the batched single-loop path). With `partitions > 1`
-    /// the study becomes `partitions` client partitions — each owning a
-    /// full local topology and the impressions of the countries assigned
-    /// to it — plus one report-server partition, all exchanging
-    /// timestamped events through bounded queues and advancing only to
-    /// the safe time implied by their peers' published bounds (lookahead
-    /// = the default link latency). `threads` workers drive the
-    /// partitions work-stealing style; results are bit-identical to the
-    /// `partitions: 1` path for every `(partitions, threads, batch)`
-    /// combination — the equivalence oracle CI asserts.
-    pub partitions: usize,
     /// Use the Huang-et-al. baseline methodology (probe only a
     /// mega-popular whitelisted host) instead of the paper's catalog.
     pub baseline: bool,
@@ -147,9 +136,9 @@ pub struct StudyConfig {
     /// only converts the session path's serial, shard-lock-contended
     /// cache-miss mints (one root-key RSA signature each) into an
     /// embarrassingly parallel startup prewarm. Only consulted when the
-    /// run will actually shard (more than one worker *and* enough
-    /// impressions — the same condition `run_study` serializes on): a
-    /// serial run has no mint contention to avoid and no idle cores to
+    /// run will actually split into more than one shard (more than one
+    /// worker *and* at least [`SERIAL_BELOW`] impressions): a one-shard
+    /// run has no mint contention to avoid and no idle cores to
     /// fill, so prewarming there is pure reordering plus wasted
     /// signatures for chains the run never requests (measured +68% on
     /// the single-threaded `session_ns` series when warmed
@@ -190,7 +179,6 @@ impl StudyConfig {
             scale,
             seed,
             threads: default_threads(),
-            partitions: 1,
             baseline: false,
             proxy_boost: 1.0,
             batch: DEFAULT_BATCH,
@@ -211,7 +199,6 @@ impl StudyConfig {
             scale,
             seed,
             threads: default_threads(),
-            partitions: 1,
             baseline: false,
             proxy_boost: 1.0,
             batch: DEFAULT_BATCH,
@@ -339,15 +326,11 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
     } else {
         PopulationModel::new(cfg.era, catalog.public_roots.clone())
     });
-    // Tiny runs execute on one thread regardless of cfg.threads — the
-    // prewarm decision below must match this, not the requested count.
-    // A partitioned drive always runs through the fabric (that is the
-    // point of the equivalence matrix), and prewarms only when more than
-    // one worker will actually mint concurrently.
-    let partitioned = cfg.partitions > 1;
-    let serial = !partitioned && (threads == 1 || impressions.len() < 256);
-    let warm = cfg.warm_substitutes && if partitioned { threads > 1 } else { !serial };
-    if warm {
+    // Tiny runs execute as one shard regardless of cfg.threads — the
+    // prewarm decision below must match the shard count, not the
+    // requested thread count.
+    let shards = if threads == 1 || impressions.len() < SERIAL_BELOW { 1 } else { threads };
+    if cfg.warm_substitutes && shards > 1 {
         // Pre-mint every deterministic variant-0 substitute chain the
         // session phase can request lazily (active product × probed
         // host), in parallel across the worker threads. Chains are pure
@@ -355,47 +338,37 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
         // output byte — it only moves the per-chain root-key RSA
         // signature off the session hot path (where misses serialize on
         // the cache's shard locks) into startup, where they mint
-        // embarrassingly parallel. Serial runs skip it (see the
+        // embarrassingly parallel. One-shard runs skip it (see the
         // `warm_substitutes` field docs): with one worker there is no
         // contention to avoid, and chains the run never requests would
         // be paid for with nothing to amortize them against.
         let hosts: Vec<&str> = catalog.hosts.iter().map(|h| h.name).collect();
         model.warm_substitutes(&hosts, threads);
     }
-    let chunk_size = impressions.len().div_ceil(threads).max(1);
+    // Shard i covers impressions [i * chunk, (i + 1) * chunk). Several
+    // shards run on scoped threads; a lone shard runs on the calling
+    // thread.
+    let chunk = impressions.len().div_ceil(shards).max(1);
+    let run = |(i, countries): (usize, &[CountryCode])| {
+        run_shard(cfg, &catalog, &model, countries, (i * chunk) as u64, i)
+    };
+    let results: Vec<(Database, Option<ShardFailure>)> = if shards == 1 {
+        impressions.chunks(chunk).enumerate().map(run).collect()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> =
+                impressions.chunks(chunk).enumerate().map(|c| s.spawn(move || run(c))).collect();
+            handles.into_iter().map(|h| h.join().expect("shard panicked")).collect()
+        })
+    };
+    // Every shard's partial database is merged before the budget check:
+    // a tripped shard loses its remaining range, never its siblings' work
+    // (graceful degradation, not fail-fast).
     let mut db = Database::new();
     let mut shard_failures = Vec::new();
-    if partitioned {
-        let (part_db, failures) = run_partitioned(cfg, &catalog, &model, &impressions);
-        db = part_db;
-        shard_failures = failures;
-    } else if serial {
-        let (shard_db, failure) = run_shard(cfg, &catalog, &model, &impressions, 0, 0);
+    for (shard_db, failure) in results {
         db.merge(shard_db);
         shard_failures.extend(failure);
-    } else {
-        let shards: Vec<(Database, Option<ShardFailure>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = impressions
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let cfg = cfg.clone();
-                    let catalog = catalog.clone();
-                    let model = model.clone();
-                    s.spawn(move || {
-                        run_shard(&cfg, &catalog, &model, chunk, (i * chunk_size) as u64, i)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard panicked")).collect()
-        });
-        // Every shard's partial database is merged before the budget
-        // check: a tripped shard loses its remaining range, never its
-        // siblings' work (graceful degradation, not fail-fast).
-        for (shard_db, failure) in shards {
-            db.merge(shard_db);
-            shard_failures.extend(failure);
-        }
     }
     if shard_failures.len() as u64 > cfg.shard_fault_budget {
         return Err(StudyError::FaultBudget {
@@ -468,11 +441,9 @@ fn run_shard(
     (full, None)
 }
 
-/// Derive impression `idx`'s client profile and session RNG — **the**
-/// per-impression derivation, shared verbatim by the batched and the
-/// partitioned drive so neither can drift: everything comes from the
-/// impression's global identity `(cfg.seed, idx)` and its country, never
-/// from which shard, partition or batch happens to execute it.
+/// Derive impression `idx`'s client profile and session RNG: everything
+/// comes from the impression's global identity `(cfg.seed, idx)` and its
+/// country, never from which shard or batch happens to execute it.
 fn derive_impression(
     cfg: &StudyConfig,
     model: &PopulationModel,
@@ -499,197 +470,6 @@ fn derive_impression(
         }
     }
     (profile, rng)
-}
-
-/// Cross-partition event-queue capacity. Big enough that a report burst
-/// rarely stalls the sender; small enough to bound memory — a full queue
-/// makes the producing partition yield and retry (backpressure, never
-/// loss or reorder).
-const PARTITION_QUEUE: usize = 4096;
-
-/// One client partition of a partitioned study: a [`SessionRunner`]
-/// (without a local report listener) plus the slice of impressions whose
-/// countries map to this partition. The fabric calls
-/// [`LogicalProcess::on_quiescent`] whenever the partition's event loop
-/// has fully settled; the partition then tears down the finished batch
-/// and feeds the next one, exactly mirroring the batched path's
-/// enqueue/drive cadence.
-struct ClientPartition {
-    cfg: StudyConfig,
-    model: Arc<PopulationModel>,
-    geo: GeoDb,
-    runner: SessionRunner,
-    /// `(global impression index, country)` pairs assigned to this
-    /// partition, in global impression order.
-    assigned: Vec<(u64, CountryCode)>,
-    next: usize,
-    /// First impression of the in-flight batch — the failure context the
-    /// study reports if the fabric stops this partition on a network
-    /// error (read after `Fabric::run` returns).
-    progress: Shared<Option<(u64, CountryCode)>>,
-}
-
-impl LogicalProcess for ClientPartition {
-    fn net(&mut self) -> &mut Network {
-        self.runner.network_mut()
-    }
-
-    fn on_quiescent(&mut self) -> bool {
-        // The previous batch (if any) has fully settled — every probe
-        // finished and every report upload round-tripped through the
-        // report partition — so per-session state can be reverted.
-        self.runner.drain_batch();
-        let Some(&first) = self.assigned.get(self.next) else {
-            return false;
-        };
-        *self.progress.lock() = Some(first);
-        let mut fed = 0;
-        while fed < self.cfg.batch.max(1) {
-            let Some(&(idx, country)) = self.assigned.get(self.next) else {
-                break;
-            };
-            let (profile, mut rng) =
-                derive_impression(&self.cfg, &self.model, &self.geo, idx, country);
-            let injected = self.runner.try_inject_session(
-                &self.model,
-                &profile,
-                &mut rng,
-                idx,
-                self.cfg.seed ^ idx,
-            );
-            if injected.is_none() {
-                // Same source address already live (single-origin NAT):
-                // close out this batch first; the impression re-derives
-                // from scratch on the next quiescence, so the aborted
-                // derivation consumed nothing observable.
-                break;
-            }
-            self.next += 1;
-            fed += 1;
-        }
-        true
-    }
-}
-
-/// The conservative-parallel drive (`cfg.partitions > 1`): the study as
-/// `partitions` client logical processes plus one report-server service
-/// process, exchanging timestamped events through bounded queues under
-/// the fabric's safe-time protocol (see `tlsfoe_netsim::worker`).
-///
-/// * Impressions are assigned by `country code % partitions`, so a
-///   country's whole population — including its single-origin NAT
-///   clients, whose same-address sessions must serialize — lives in one
-///   partition, and client addresses can never collide across
-///   partitions.
-/// * Probe traffic stays partition-local (each client partition owns a
-///   full catalog topology); only report uploads cross the fabric, to
-///   the one partition owning `catalog.report_server`.
-/// * Records accumulate in the report partition's database, typed probe
-///   failures in each client partition's; all are merged and sorted once
-///   ([`Database::finish_partitioned`]), reproducing the batched path's
-///   incremental per-batch ordering exactly.
-///
-/// Failure mapping: a client partition whose drive trips its event cap
-/// abandons its remaining impressions and surfaces a [`ShardFailure`]
-/// with `shard` = partition index and the first impression of its
-/// in-flight batch; a report-partition failure uses `shard` =
-/// `cfg.partitions` with no impression context. Merged partial state
-/// survives either way, exactly like the sharded path's degradation.
-fn run_partitioned(
-    cfg: &StudyConfig,
-    catalog: &Arc<HostCatalog>,
-    model: &Arc<PopulationModel>,
-    impressions: &[CountryCode],
-) -> (Database, Vec<ShardFailure>) {
-    let clients = cfg.partitions;
-    let geo = GeoDb::allocate(GEO_BLOCK);
-    // Lookahead = the default link latency: every cross-partition event
-    // (report dial, POST bytes, close) rides a client link and therefore
-    // arrives at least one latency after it was sent.
-    let mut fabric = Fabric::new(LinkProfile::default().latency_us, PARTITION_QUEUE);
-
-    let server_db = Shared::new(Database::new());
-    let report = Arc::new(ReportServer::new(catalog, geo.clone(), server_db.clone()));
-    let mut server_net = Network::new(NetworkConfig::default(), 0);
-    if let Some(cap) = cfg.max_net_events {
-        server_net.set_max_events(cap);
-    }
-    server_net.listen(catalog.report_server, 80, report.listener());
-    let server_id = fabric.add_partition(Box::new(ServiceProcess::new(server_net)));
-    fabric.route(catalog.report_server, 80, server_id);
-
-    let mut client_dbs = Vec::with_capacity(clients);
-    let mut progresses = Vec::with_capacity(clients);
-    for p in 0..clients {
-        let assigned: Vec<(u64, CountryCode)> = impressions
-            .iter()
-            .enumerate()
-            .filter(|&(_, c)| c.0 as usize % clients == p)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
-        let db = Shared::new(Database::new());
-        let mut runner = SessionRunner::new_partition(catalog.clone(), db.clone())
-            .with_batch_size(cfg.batch)
-            .with_retry_policy(cfg.retry.clone());
-        if cfg.era == StudyEra::Study1 && !cfg.baseline {
-            // Study 1's single-probe completion rate (see `run_shard`).
-            runner = runner.with_authors_completion(0.617);
-        }
-        if cfg.faults.any() {
-            runner.set_default_link(LinkProfile {
-                faults: cfg.faults.clone(),
-                ..LinkProfile::default()
-            });
-        }
-        if let Some(cap) = cfg.max_net_events {
-            runner.set_max_events(cap);
-        }
-        let progress = Shared::new(None);
-        client_dbs.push(db);
-        progresses.push(progress.clone());
-        fabric.add_partition(Box::new(ClientPartition {
-            cfg: cfg.clone(),
-            model: model.clone(),
-            geo: geo.clone(),
-            runner,
-            assigned,
-            next: 0,
-            progress,
-        }));
-    }
-
-    let outcome = fabric.run(cfg.threads.max(1));
-
-    let mut failures = Vec::new();
-    for (pid, (_lp, error)) in outcome.processes.into_iter().enumerate() {
-        let Some(error) = error else { continue };
-        if pid == 0 {
-            // The report partition itself tripped: no single impression
-            // to blame, every client's in-flight uploads are suspect.
-            failures.push(ShardFailure {
-                shard: clients,
-                impression: impressions.len() as u64,
-                country: None,
-                error,
-            });
-        } else {
-            let at = progresses.get(pid - 1).and_then(|p| *p.lock());
-            let (impression, country) =
-                at.map_or((impressions.len() as u64, None), |(i, c)| (i, Some(c)));
-            failures.push(ShardFailure { shard: pid - 1, impression, country, error });
-        }
-    }
-
-    // Records live in the report partition, failures in the clients;
-    // merge in partition order, then restore the global deterministic
-    // order in one pass.
-    let mut db = std::mem::replace(&mut *server_db.lock(), Database::new());
-    for client_db in client_dbs {
-        let part = std::mem::replace(&mut *client_db.lock(), Database::new());
-        db.merge(part);
-    }
-    db.finish_partitioned();
-    (db, failures)
 }
 
 #[cfg(test)]
@@ -773,27 +553,32 @@ mod tests {
     fn batched_network_bit_identical_across_threads_and_batch_sizes() {
         // The shard-lifetime batched network's determinism contract:
         // the study Database must be bit-identical whether sessions run
-        // one per drive or many, on one thread or eight — including with
+        // one per drive or many, on one shard or eight — including with
         // heavy interception so proxies, the substitute cache and the
         // single-origin NAT path (same-address collisions within a
         // batch) are all exercised.
         let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 31) };
-        let serial_unbatched =
+        let oracle =
             run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        let serial_batched =
-            run_study(&StudyConfig { threads: 1, batch: 64, ..base.clone() }).expect("study");
-        let sharded_batched =
-            run_study(&StudyConfig { threads: 8, batch: 64, ..base.clone() }).expect("study");
-        let sharded_odd_batch =
-            run_study(&StudyConfig { threads: 8, batch: 7, ..base }).expect("study");
         assert!(
-            serial_unbatched.db.proxied() > 10,
+            oracle.db.proxied() > 10,
             "need proxied sessions in the batch mix, got {}",
-            serial_unbatched.db.proxied()
+            oracle.db.proxied()
         );
-        assert_eq!(serial_unbatched.db, serial_batched.db, "batch size changed the database");
-        assert_eq!(serial_batched.db, sharded_batched.db, "thread count changed the database");
-        assert_eq!(sharded_batched.db, sharded_odd_batch.db, "odd batch split changed the db");
+        for (threads, batch) in [(1, 64), (2, 1), (2, 64), (4, 1), (4, 64), (8, 1), (8, 64), (8, 7)]
+        {
+            let run = run_study(&StudyConfig { threads, batch, ..base.clone() }).expect("study");
+            assert_eq!(oracle.db, run.db, "threads {threads} / batch {batch} changed the database");
+        }
+        // Below SERIAL_BELOW impressions the study runs as one shard
+        // (and skips the substitute prewarm) whatever `threads` asks for.
+        let small = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(20_000, 31) };
+        let one = run_study(&StudyConfig { threads: 1, ..small.clone() }).expect("study");
+        let four = run_study(&StudyConfig { threads: 4, ..small }).expect("study");
+        let n = one.impressions() as usize;
+        assert!(n < SERIAL_BELOW, "need a one-shard study, got {n} impressions");
+        assert!(one.db.proxied() > 0, "need proxied sessions in the one-shard study");
+        assert_eq!(one.db, four.db, "threads changed a one-shard study");
     }
 
     #[test]
@@ -852,26 +637,31 @@ mod tests {
         // The fault-injection determinism contract: with faults and
         // retries active, the full study database — records, attempt
         // counts, typed failures — must be bit-identical whether
-        // sessions run serial/unbatched or sharded across 8 threads
-        // with any batch size. Per-connection fault streams derive from
-        // the session identity and retry decisions from elapsed virtual
-        // time, so nothing may depend on scheduling.
+        // sessions run serial/unbatched or sharded across up to 8
+        // threads with any batch size. Per-connection fault streams
+        // derive from the session identity and retry decisions from
+        // elapsed virtual time, so nothing may depend on scheduling.
         let base = StudyConfig {
             faults: FaultProfile::uniform(0.05),
             retry: crate::session::RetryPolicy::standard(),
             ..StudyConfig::study1(3_000, 37)
         };
-        let a = run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        let b = run_study(&StudyConfig { threads: 8, batch: 64, ..base.clone() }).expect("study");
-        let c = run_study(&StudyConfig { threads: 8, batch: 7, ..base }).expect("study");
+        let oracle =
+            run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
         assert!(
-            a.db.failed() > 0 || a.db.iter().any(|r| r.attempts > 1),
+            oracle.db.failed() > 0 || oracle.db.iter().any(|r| r.attempts > 1),
             "chaos must actually bite (failures {} retried {})",
-            a.db.failed(),
-            a.db.iter().filter(|r| r.attempts > 1).count()
+            oracle.db.failed(),
+            oracle.db.iter().filter(|r| r.attempts > 1).count()
         );
-        assert_eq!(a.db, b.db, "thread count changed a faulted database");
-        assert_eq!(b.db, c.db, "batch size changed a faulted database");
+        for (threads, batch) in [(1, 64), (2, 1), (2, 64), (4, 1), (4, 64), (8, 1), (8, 64), (8, 7)]
+        {
+            let run = run_study(&StudyConfig { threads, batch, ..base.clone() }).expect("study");
+            assert_eq!(
+                oracle.db, run.db,
+                "threads {threads} / batch {batch} changed a faulted database"
+            );
+        }
     }
 
     #[test]
@@ -952,84 +742,6 @@ mod tests {
         let out = run_study(&StudyConfig { shard_fault_budget: 4, ..base }).expect("degraded run");
         assert_eq!(out.shard_failures.len(), 4);
         assert!(out.impressions() > 0, "ad-delivery stats survive degradation");
-    }
-
-    #[test]
-    fn partitioned_drive_bit_identical_to_batched() {
-        // The tentpole equivalence oracle: the conservative-parallel
-        // drive must reproduce the batched single-loop database bit for
-        // bit across the (partitions, threads, batch) matrix — with
-        // heavy interception so proxies, the substitute cache and the
-        // single-origin NAT serialization all cross the new code.
-        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 31) };
-        let oracle =
-            run_study(&StudyConfig { threads: 1, batch: 64, ..base.clone() }).expect("study");
-        assert!(oracle.db.proxied() > 10, "need proxied sessions, got {}", oracle.db.proxied());
-        for (partitions, threads, batch) in [(2, 1, 64), (2, 8, 1), (8, 1, 1), (8, 8, 64)] {
-            let run = run_study(&StudyConfig { partitions, threads, batch, ..base.clone() })
-                .expect("study");
-            assert!(run.shard_failures.is_empty());
-            assert_eq!(
-                oracle.db, run.db,
-                "partitions {partitions} / threads {threads} / batch {batch} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_chaos_drive_bit_identical_to_batched() {
-        // Faulted equivalence: fault streams derive from session
-        // identity and retry decisions from elapsed virtual time, so
-        // even a chaos run must be invariant under partitioning.
-        let base = StudyConfig {
-            faults: FaultProfile::uniform(0.05),
-            retry: crate::session::RetryPolicy::standard(),
-            ..StudyConfig::study1(3_000, 37)
-        };
-        let oracle =
-            run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        assert!(
-            oracle.db.failed() > 0 || oracle.db.iter().any(|r| r.attempts > 1),
-            "chaos must actually bite"
-        );
-        for (partitions, threads, batch) in [(2, 8, 64), (8, 1, 64), (8, 8, 7)] {
-            let run = run_study(&StudyConfig { partitions, threads, batch, ..base.clone() })
-                .expect("study");
-            assert_eq!(
-                oracle.db, run.db,
-                "partitions {partitions} / threads {threads} / batch {batch} diverged (faulted)"
-            );
-        }
-    }
-
-    #[test]
-    fn skewed_one_heavy_country_bit_identical_across_partitions() {
-        // Worst-case partition balance: nearly every impression lives in
-        // one country, so country-keyed assignment hands one client
-        // partition almost all the work while its siblings idle at the
-        // fabric horizon (publishing null bounds only). The drive must
-        // still terminate and reproduce the serial shard bit for bit.
-        let cfg = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 91) };
-        let catalog = Arc::new(HostCatalog::study1());
-        let model = Arc::new(PopulationModel::new(cfg.era, catalog.public_roots.clone()));
-        let heavy = by_code("US").expect("US registered");
-        let light = by_code("JP").expect("JP registered");
-        let impressions: Vec<CountryCode> =
-            (0..160).map(|i| if i % 16 == 0 { light } else { heavy }).collect();
-
-        let serial = StudyConfig { threads: 1, partitions: 1, batch: 64, ..cfg.clone() };
-        let (shard_db, failure) = run_shard(&serial, &catalog, &model, &impressions, 0, 0);
-        assert!(failure.is_none(), "serial oracle must not trip: {failure:?}");
-        let mut oracle = Database::new();
-        oracle.merge(shard_db);
-        assert!(oracle.total() > 60, "skewed oracle too small: {}", oracle.total());
-
-        for (partitions, threads) in [(2, 1), (4, 8), (8, 2)] {
-            let pcfg = StudyConfig { partitions, threads, batch: 64, ..cfg.clone() };
-            let (db, failures) = run_partitioned(&pcfg, &catalog, &model, &impressions);
-            assert!(failures.is_empty(), "partitions {partitions}/threads {threads}: {failures:?}");
-            assert_eq!(oracle, db, "partitions {partitions} / threads {threads} diverged on skew");
-        }
     }
 
     #[test]

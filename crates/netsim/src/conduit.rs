@@ -10,9 +10,9 @@
 //! upstream connection; a measurement probe runs a policy fetch, many TLS
 //! probes and a report upload — are built from several conduits sharing
 //! state through [`Shared`] cells. One event loop never re-enters a
-//! conduit, so the locks inside are uncontended; they exist because a
-//! partitioned simulation (see [`crate::worker`]) migrates whole event
-//! loops between OS threads, which requires every conduit to be `Send`.
+//! conduit, so the locks inside are uncontended. A network and its
+//! conduits are built and driven on one thread; no caller needs the
+//! `Send` bounds or the locks to move them between threads.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -24,8 +24,8 @@ use crate::net::Network;
 /// poison-tolerant lock.
 ///
 /// Within one event loop access is strictly sequential (callbacks never
-/// re-enter), so `lock` never contends; the mutex is what lets actors
-/// move between OS threads with their partition. Poisoning is ignored —
+/// re-enter), so `lock` never contends; a cell is only ever used from
+/// the thread driving its network. Poisoning is ignored —
 /// a panicking conduit aborts its whole study anyway, and tests that
 /// probe panic behavior still want to read the cell afterwards.
 #[derive(Debug, Default)]
@@ -95,8 +95,8 @@ impl std::error::Error for DialError {}
 
 /// An endpoint state machine.
 ///
-/// `Send` because a partitioned simulation migrates event loops (and the
-/// conduits inside them) between OS threads; see [`crate::worker`].
+/// No caller needs the `Send` bound: a network and its conduits stay on
+/// the thread that drives them.
 pub trait Conduit: Send {
     /// The connection is established (three-way handshake done).
     fn on_open(&mut self, io: &mut IoCtx<'_>);
