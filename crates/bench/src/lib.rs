@@ -12,12 +12,7 @@
 //! * `TLSFOE_THREADS` — worker threads (default: all cores),
 //! * `TLSFOE_BATCH` — concurrent sessions per event-loop drive on each
 //!   worker's shard-lifetime network (default 64; results are
-//!   bit-identical for any value),
-//! * `TLSFOE_SCHOOLBOOK` — set to force the seed's schoolbook bignum
-//!   path (perf ablation; roughly doubles `exp_all` wall-clock),
-//! * `TLSFOE_PRIVATE_MINT` — set to give every study a private
-//!   substitute cache instead of the process-wide one (perf ablation;
-//!   restores the seed's per-study re-minting, results unchanged).
+//!   bit-identical for any value).
 //!
 //! Run everything: `cargo run -p tlsfoe-bench --release --bin exp_all`.
 
@@ -73,7 +68,7 @@ pub fn config(era: StudyEra) -> StudyConfig {
         retry: tlsfoe_core::session::RetryPolicy::disabled(),
         shard_fault_budget: 0,
         max_net_events: None,
-        private_substitute_cache: std::env::var("TLSFOE_PRIVATE_MINT").is_ok(),
+        private_substitute_cache: false,
     }
 }
 

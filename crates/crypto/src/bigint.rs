@@ -440,7 +440,7 @@ impl Ubig {
         if m.is_one() {
             return Ok(Ubig::zero());
         }
-        if m.is_odd() && !crate::schoolbook_forced() {
+        if m.is_odd() {
             crate::ctxcache::shared_ctx_cache().get(m)?.modpow(self, exp)
         } else {
             self.modpow_schoolbook(exp, m)

@@ -38,10 +38,10 @@
 //!
 //! At 512/2048 bits the sign speedups are ~13× and ~11× respectively.
 //! End to end, `exp_all` (every experiment binary at default
-//! `TLSFOE_SCALE`) drops from 124 s to 63 s — verified with the
-//! `TLSFOE_SCHOOLBOOK=1` ablation switch, which forces every
-//! exponentiation (keygen, Miller–Rabin, sign, verify) back onto the
-//! seed's schoolbook path.
+//! `TLSFOE_SCALE`) dropped from 124 s to 63 s when the rework landed.
+//! `exp_perf` keeps the schoolbook ladder
+//! ([`Ubig::modpow_schoolbook`]) timed next to the Montgomery one, so the
+//! ratio stays visible.
 //!
 //! Typical usage: one-shot callers just use [`Ubig::modpow`] (it builds a
 //! context transparently); repeated exponentiation against one modulus
@@ -75,7 +75,7 @@ pub mod sha256;
 pub use bigint::Ubig;
 pub use ctxcache::{shared_ctx_cache, MontCtxCache};
 pub use drbg::{Drbg, RngCore64};
-pub use montgomery::{with_thread_scratch, ModpowPlan, ModpowScratch, MontgomeryCtx};
+pub use montgomery::MontgomeryCtx;
 pub use rsa::{RsaCrt, RsaKeyPair, RsaPublicKey};
 
 /// Digest algorithms supported by the workspace.
@@ -120,16 +120,6 @@ impl HashAlg {
             HashAlg::Sha256 => "sha256",
         }
     }
-}
-
-/// True when `TLSFOE_SCHOOLBOOK` is set (to anything but `0`): forces
-/// [`Ubig::modpow`] and RSA signing back onto the seed's schoolbook
-/// square-and-multiply path, for end-to-end perf ablations like
-/// `TLSFOE_SCHOOLBOOK=1 exp_all`. Read once per process.
-pub(crate) fn schoolbook_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    // lint:allow(determinism, seed-equivalence ablation switch — both paths are asserted byte-identical, so the env read selects between two provably equal behaviors)
-    *FORCED.get_or_init(|| std::env::var_os("TLSFOE_SCHOOLBOOK").is_some_and(|v| v != "0"))
 }
 
 /// Errors produced by this crate.

@@ -11,7 +11,7 @@
 
 use crate::bigint::Ubig;
 use crate::drbg::RngCore64;
-use crate::montgomery::{with_thread_scratch, ModpowPlan, ModpowScratch, MontgomeryCtx};
+use crate::montgomery::MontgomeryCtx;
 use crate::{CryptoError, HashAlg};
 
 /// Public RSA key: modulus and exponent.
@@ -40,19 +40,6 @@ pub struct RsaKeyPair {
     pub crt: Option<RsaCrt>,
 }
 
-/// Window width for the precomputed CRT half-exponent plans.
-///
-/// Measured decision (this substrate; ROADMAP's mint-path section):
-/// 5-bit windows trade 16 extra table multiplies for ~20 fewer window
-/// multiplies — arithmetic says ~0.3% fewer Montgomery multiplies on a
-/// 512-bit exponent, and the measured ladder agrees it's a wash: 5-bit
-/// is **+1.3% / −0.6% / −0.8%** vs 4-bit at 512/1024/2048-bit
-/// half-exponents (min-of-blocks, interleaved). An honest tie, recorded
-/// as a negative result; 4 stays because it wins (within noise) at the
-/// 512-bit half-exponents that dominate minting, halves the table's
-/// scratch footprint, and shares the general `modpow` ladder's width.
-pub const CRT_WINDOW_BITS: u8 = 4;
-
 /// Precomputed Chinese-Remainder-Theorem private-key material.
 ///
 /// Signing with CRT performs two half-size Montgomery exponentiations
@@ -60,15 +47,13 @@ pub const CRT_WINDOW_BITS: u8 = 4;
 /// one full-size exponentiation mod `n` — ~4× less work, since
 /// exponentiation cost grows roughly cubically with operand size. The
 /// Montgomery contexts for both primes are built once here and reused by
-/// every signature, and the half-exponents are window-recoded once into
-/// [`ModpowPlan`]s ([`CRT_WINDOW_BITS`]-bit windows) so per-signature
-/// ladders replay a byte array instead of re-extracting exponent bits.
+/// every signature.
 #[derive(Debug, Clone)]
 pub struct RsaCrt {
-    /// Window recoding of `d mod (p-1)`, computed once per key.
-    dp_plan: ModpowPlan,
-    /// Window recoding of `d mod (q-1)`, computed once per key.
-    dq_plan: ModpowPlan,
+    /// `d mod (p-1)`.
+    dp: Ubig,
+    /// `d mod (q-1)`.
+    dq: Ubig,
     /// `q⁻¹ mod p` (Garner's coefficient).
     qinv: Ubig,
     /// Prime factor `p` (cached to keep the per-signature recombination
@@ -86,11 +71,9 @@ impl RsaCrt {
     /// Precompute CRT parameters from the factors and private exponent.
     pub fn new(p: &Ubig, q: &Ubig, d: &Ubig) -> Result<RsaCrt, CryptoError> {
         let one = Ubig::one();
-        let dp = d.rem(&p.sub(&one))?;
-        let dq = d.rem(&q.sub(&one))?;
         Ok(RsaCrt {
-            dp_plan: ModpowPlan::new(&dp, CRT_WINDOW_BITS),
-            dq_plan: ModpowPlan::new(&dq, CRT_WINDOW_BITS),
+            dp: d.rem(&p.sub(&one))?,
+            dq: d.rem(&q.sub(&one))?,
             qinv: q.modinv(p)?,
             p: p.clone(),
             q: q.clone(),
@@ -99,26 +82,13 @@ impl RsaCrt {
         })
     }
 
-    /// `m^d mod pq` via Garner's recombination (thread-local scratch).
+    /// `m^d mod pq` via Garner's recombination.
     ///
     /// Produces exactly the value a direct `m.modpow(d, n)` would, so CRT
     /// and non-CRT signatures are byte-identical.
     pub fn private_exp(&self, m: &Ubig) -> Result<Ubig, CryptoError> {
-        with_thread_scratch(|scratch| self.private_exp_with(m, scratch))
-    }
-
-    /// [`private_exp`](Self::private_exp) against caller-owned working
-    /// memory: both half-exponentiations replay the per-key window plans
-    /// through `scratch`, and the recombination's modular product rides
-    /// the same buffers — no allocation beyond the intermediate `Ubig`
-    /// results.
-    pub fn private_exp_with(
-        &self,
-        m: &Ubig,
-        scratch: &mut ModpowScratch,
-    ) -> Result<Ubig, CryptoError> {
-        let m1 = self.p_ctx.modpow_planned(m, &self.dp_plan, scratch)?;
-        let m2 = self.q_ctx.modpow_planned(m, &self.dq_plan, scratch)?;
+        let m1 = self.p_ctx.modpow(m, &self.dp)?;
+        let m2 = self.q_ctx.modpow(m, &self.dq)?;
         // h = qinv · (m1 − m2) mod p. For generated keys p and q share a
         // bit length, so m2 < q < 2p and reducing m2 mod p is one
         // comparison and at most one subtraction; hand-assembled keys
@@ -137,15 +107,9 @@ impl RsaCrt {
             Some(d) => d,
             None => m1.add(&self.p).sub(&m2_mod_p),
         };
-        let h = self.p_ctx.mulmod_with(&self.qinv, &diff, scratch)?;
+        let h = self.p_ctx.mulmod(&self.qinv, &diff)?;
         // s = m2 + q·h  (already < pq)
         Ok(m2.add(&self.q.mul(&h)))
-    }
-
-    /// The plans' window width (for benches asserting the measured
-    /// 4-vs-5 decision stays what ROADMAP records).
-    pub fn window_bits(&self) -> u8 {
-        self.dp_plan.width()
     }
 }
 
@@ -224,33 +188,24 @@ fn mr_decompose(n_minus_1: &Ubig) -> (Ubig, usize) {
 
 /// One Miller–Rabin round: true iff base `a` *witnesses* that `n` is
 /// composite (so `false` means "n is probably prime as far as `a` can
-/// tell"). `ctx` is `None` under the `TLSFOE_SCHOOLBOOK` ablation.
+/// tell"). `ctx` is the Montgomery context for `n`.
 fn mr_composite_witness(
     a: &Ubig,
     d: &Ubig,
     r: usize,
-    n: &Ubig,
     n_minus_1: &Ubig,
-    ctx: Option<&MontgomeryCtx>,
+    ctx: &MontgomeryCtx,
 ) -> bool {
-    let mut x = match ctx {
-        // Base 2 rides the square-and-double ladder: the multiply step
-        // degenerates to an O(k) modular doubling, ~20% off the ladder
-        // that kills almost every sieved-but-composite candidate.
-        Some(ctx) if a == &Ubig::from_u64(2) => ctx.pow2mod(d),
-        Some(ctx) => ctx.modpow(a, d),
-        None => a.modpow_schoolbook(d, n),
-    }
-    .expect("nonzero modulus");
+    // Base 2 rides the square-and-double ladder: the multiply step
+    // degenerates to an O(k) modular doubling, ~20% off the ladder that
+    // kills almost every sieved-but-composite candidate.
+    let mut x = if a == &Ubig::from_u64(2) { ctx.pow2mod(d) } else { ctx.modpow(a, d) }
+        .expect("nonzero modulus");
     if x.is_one() || &x == n_minus_1 {
         return false;
     }
     for _ in 0..r.saturating_sub(1) {
-        x = match ctx {
-            Some(ctx) => ctx.sqrmod(&x),
-            None => x.mulmod(&x, n),
-        }
-        .expect("nonzero modulus");
+        x = ctx.mulmod(&x, &x).expect("nonzero modulus");
         if &x == n_minus_1 {
             return false;
         }
@@ -272,9 +227,8 @@ fn mr_probable_prime(n: &Ubig, rounds: usize, rng: &mut dyn RngCore64) -> (bool,
     let n_minus_1 = n.sub(&Ubig::one());
     let (d, r) = mr_decompose(&n_minus_1);
     // One Montgomery context serves every witness (n is odd here).
-    // `None` under TLSFOE_SCHOOLBOOK, the seed-equivalence perf ablation.
-    let ctx = (!crate::schoolbook_forced()).then(|| MontgomeryCtx::new(n).expect("odd modulus"));
-    if mr_composite_witness(&Ubig::from_u64(2), &d, r, n, &n_minus_1, ctx.as_ref()) {
+    let ctx = MontgomeryCtx::new(n).expect("odd modulus");
+    if mr_composite_witness(&Ubig::from_u64(2), &d, r, &n_minus_1, &ctx) {
         return (false, true);
     }
     let byte_len = n.bit_len().div_ceil(8);
@@ -288,7 +242,7 @@ fn mr_probable_prime(n: &Ubig, rounds: usize, rng: &mut dyn RngCore64) -> (bool,
                 break a;
             }
         };
-        if mr_composite_witness(&a, &d, r, n, &n_minus_1, ctx.as_ref()) {
+        if mr_composite_witness(&a, &d, r, &n_minus_1, &ctx) {
             return (false, false);
         }
     }
@@ -342,7 +296,7 @@ pub struct KeygenStats {
 }
 
 /// Process-wide count of RSA signatures produced (every
-/// [`RsaKeyPair::sign_with`] call). `exp_perf`'s mint series divides the
+/// [`RsaKeyPair::sign`] call). `exp_perf`'s mint series divides the
 /// delta across a minting run by the chains minted to report
 /// signatures-per-mint — the unit cost the substitute prewarm amortizes.
 static SIGNATURES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -569,21 +523,8 @@ impl RsaKeyPair {
     /// Returns the signature as a big-endian byte string exactly as long
     /// as the modulus. Keys with precomputed [`RsaCrt`] material (all
     /// generated keys) take the CRT fast path; the result is byte-
-    /// identical either way. Working memory is the thread-local
-    /// [`ModpowScratch`], so bulk signing (certificate minting) performs
-    /// no per-signature ladder allocations; callers that own a workspace
-    /// can thread it explicitly via [`RsaKeyPair::sign_with`].
+    /// identical either way.
     pub fn sign(&self, alg: HashAlg, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        with_thread_scratch(|scratch| self.sign_with(alg, message, scratch))
-    }
-
-    /// [`sign`](Self::sign) against caller-owned working memory.
-    pub fn sign_with(
-        &self,
-        alg: HashAlg,
-        message: &[u8],
-        scratch: &mut ModpowScratch,
-    ) -> Result<Vec<u8>, CryptoError> {
         SIGNATURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let k = self.public.n.bit_len().div_ceil(8);
         let em = pkcs1v15_encode(alg, message, k)?;
@@ -592,20 +533,8 @@ impl RsaKeyPair {
             return Err(CryptoError::MessageTooLong);
         }
         let s = match &self.crt {
-            // The TLSFOE_SCHOOLBOOK check keeps the seed's full-size
-            // exponentiation reachable for end-to-end perf ablations.
-            Some(crt) if !crate::schoolbook_forced() => crt.private_exp_with(&m, scratch)?,
-            // Non-CRT fallback: same dispatch as `Ubig::modpow` (shared
-            // ctx cache for odd moduli, schoolbook otherwise) but driven
-            // through the caller's scratch — going through `Ubig::modpow`
-            // here would re-enter the thread-local workspace and fall
-            // back to a fresh allocation per signature.
-            _ if self.public.n.is_odd() && !crate::schoolbook_forced() => {
-                crate::ctxcache::shared_ctx_cache()
-                    .get(&self.public.n)?
-                    .modpow_with(&m, &self.d, scratch)?
-            }
-            _ => m.modpow_schoolbook(&self.d, &self.public.n)?,
+            Some(crt) => crt.private_exp(&m)?,
+            None => m.modpow(&self.d, &self.public.n)?,
         };
         s.to_bytes_be_padded(k).ok_or(CryptoError::MessageTooLong)
     }
@@ -626,13 +555,11 @@ impl RsaPublicKey {
 
     /// Verify an RSASSA-PKCS1-v1_5 signature over `message`.
     ///
-    /// The exponentiation rides the process-wide
-    /// [`crate::ctxcache::shared_ctx_cache`], so verifying many
-    /// signatures against the same key (chain validation, root-store
-    /// anchor search) re-derives the per-modulus Montgomery constants
-    /// once rather than per call. Even moduli and the
-    /// `TLSFOE_SCHOOLBOOK` ablation fall back to [`Ubig::modpow`]'s
-    /// uncached dispatch.
+    /// The exponentiation is [`Ubig::modpow`], which rides the
+    /// process-wide [`crate::ctxcache::shared_ctx_cache`] for odd moduli,
+    /// so verifying many signatures against the same key (chain
+    /// validation, root-store anchor search) re-derives the per-modulus
+    /// Montgomery constants once rather than per call.
     pub fn verify(
         &self,
         alg: HashAlg,
@@ -647,11 +574,7 @@ impl RsaPublicKey {
         if s >= self.n {
             return Err(CryptoError::BadSignature);
         }
-        let m = if self.n.is_odd() && !crate::schoolbook_forced() {
-            crate::ctxcache::shared_ctx_cache().get(&self.n)?.modpow(&s, &self.e)?
-        } else {
-            s.modpow(&self.e, &self.n)?
-        };
+        let m = s.modpow(&self.e, &self.n)?;
         let em = m.to_bytes_be_padded(k).ok_or(CryptoError::BadSignature)?;
         let expected = pkcs1v15_encode(alg, message, k)?;
         if em == expected {
@@ -830,27 +753,6 @@ mod tests {
                 let slow_sig = slow.sign(alg, b"garner recombination").unwrap();
                 assert_eq!(fast_sig, slow_sig, "bits={bits} alg={alg:?}");
                 key.public.verify(alg, b"garner recombination", &fast_sig).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_and_thread_local_signatures_byte_identical() {
-        // The allocation-free plumbing (explicit scratch, thread-local
-        // scratch, plan-driven CRT ladders) must not change a single
-        // signature byte — including when one workspace is shared across
-        // keys of different sizes.
-        let mut rng = Drbg::new(23);
-        let k512 = RsaKeyPair::generate(512, &mut rng).unwrap();
-        let k768 = RsaKeyPair::generate(768, &mut rng).unwrap();
-        let mut scratch = ModpowScratch::new();
-        for key in [&k512, &k768] {
-            assert_eq!(key.crt.as_ref().unwrap().window_bits(), CRT_WINDOW_BITS);
-            for alg in [HashAlg::Sha1, HashAlg::Sha256] {
-                let via_thread = key.sign(alg, b"scratch equivalence").unwrap();
-                let via_scratch = key.sign_with(alg, b"scratch equivalence", &mut scratch).unwrap();
-                assert_eq!(via_thread, via_scratch);
-                key.public.verify(alg, b"scratch equivalence", &via_thread).unwrap();
             }
         }
     }

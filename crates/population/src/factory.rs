@@ -50,8 +50,7 @@ pub(crate) fn leaf_pool_size(spec: &ProductSpec) -> u16 {
 /// Minting cost is dominated by the root key's RSA signature over each
 /// substitute's TBS bytes; the cached [`keys::keypair`] root carries
 /// precomputed CRT/Montgomery material, so a cache-miss mint is two
-/// half-size exponentiations rather than the schoolbook full-size one
-/// the seed implementation paid.
+/// half-size Montgomery exponentiations and a Garner recombination.
 pub struct SubstituteFactory {
     /// The product this factory belongs to.
     pub product: ProductId,

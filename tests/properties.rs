@@ -105,11 +105,12 @@ fn ubig_shift_roundtrip() {
 
 #[test]
 fn montgomery_modpow_matches_schoolbook() {
-    // Random operands across limb sizes 1..=8 (64- to 512-bit moduli),
-    // with both short (≤64-bit) and long exponents to cover the binary
-    // and 4-bit-window paths.
+    // Random operands across limb sizes 1..=16 (64- to 1024-bit moduli,
+    // so the 1024-bit CRT halves of 2048-bit keys are covered), with both
+    // short (≤64-bit) and long exponents to cover the binary and
+    // 4-bit-window paths.
     let mut rng = rng("montgomery");
-    for limbs in 1usize..=8 {
+    for limbs in 1usize..=16 {
         for case in 0..12 {
             let mut m = Ubig::from_bytes_be(&{
                 let mut b = vec![0u8; limbs * 8];
@@ -148,25 +149,6 @@ fn montgomery_mulmod_matches_schoolbook() {
 }
 
 #[test]
-fn montgomery_sqr_matches_mul_by_self() {
-    // The squaring specialization must be indistinguishable from a
-    // general multiply of x by itself, over DRBG-driven widths/values.
-    let mut rng = rng("sqr");
-    for _ in 0..CASES / 2 {
-        let mut m = Ubig::from_bytes_be(&random_bytes(&mut rng, 40));
-        m.set_bit(0);
-        if m.is_one() {
-            continue;
-        }
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let x = Ubig::from_bytes_be(&random_bytes(&mut rng, 48));
-        let sqr = ctx.sqrmod(&x).unwrap();
-        assert_eq!(sqr, ctx.mulmod(&x, &x).unwrap(), "x={x:?} m={m:?}");
-        assert_eq!(sqr, x.mulmod(&x, &m).unwrap(), "x={x:?} m={m:?}");
-    }
-}
-
-#[test]
 fn even_modulus_falls_back_to_schoolbook() {
     let mut rng = rng("even");
     for _ in 0..CASES / 8 {
@@ -187,17 +169,28 @@ fn even_modulus_falls_back_to_schoolbook() {
 fn crt_signatures_byte_identical_across_key_sizes() {
     // The paper's corpus spans 512/1024/2048-bit keys; the CRT fast path
     // must be invisible at every size. Keys come from the process-wide
-    // population cache, so repeated uses share the keygen cost.
+    // population cache, so repeated uses share the keygen cost. The
+    // schoolbook ladder, which shares no code with the Montgomery one,
+    // is the independent oracle: it must open each signature to a
+    // PKCS#1 v1.5 block over the digest and map the block back to it.
     for bits in [512usize, 1024, 2048] {
         let key = tlsfoe::population::keys::keypair(0xC47, bits);
         assert!(key.crt.is_some());
         let mut slow = (*key).clone();
         slow.crt = None;
+        let (n, k) = (&key.public.n, bits.div_ceil(8));
         let msg = b"every impression funnels through this sign";
         for alg in [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256] {
             let fast = key.sign(alg, msg).unwrap();
             assert_eq!(fast, slow.sign(alg, msg).unwrap(), "bits={bits} alg={alg:?}");
             key.public.verify(alg, msg, &fast).unwrap();
+
+            let s = Ubig::from_bytes_be(&fast);
+            let em = s.modpow_schoolbook(&key.public.e, n).unwrap();
+            let block = em.to_bytes_be_padded(k).unwrap();
+            assert_eq!(block[..3], [0x00, 0x01, 0xff], "bits={bits} alg={alg:?}");
+            assert!(block.ends_with(&alg.digest(msg)), "bits={bits} alg={alg:?}");
+            assert_eq!(em.modpow_schoolbook(&key.d, n).unwrap(), s, "bits={bits} alg={alg:?}");
         }
     }
 }
