@@ -5,6 +5,8 @@
 //! modelled by synthetic `T##` territory codes so the simulated studies
 //! can, like the real ones, observe proxied users in 140+ countries.
 
+use std::sync::OnceLock;
+
 /// A compact country identifier (interned index into the registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode(pub u16);
@@ -59,20 +61,25 @@ pub fn territory_count() -> u16 {
     NAMED.len() as u16 + TAIL_COUNT
 }
 
+/// Generated `(code, name)` strings of the synthetic tail territories,
+/// built once per process.
+fn tail() -> &'static [(String, String)] {
+    static TAIL: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    TAIL.get_or_init(|| {
+        (0..TAIL_COUNT).map(|i| (format!("T{i:02}"), format!("Territory {i}"))).collect()
+    })
+}
+
 /// Look up registry info for a code index.
 pub fn info(code: CountryCode) -> Country {
     let idx = code.0 as usize;
-    if idx < NAMED.len() {
-        NAMED[idx].clone()
-    } else {
-        let tail_index = idx - NAMED.len();
-        assert!((tail_index as u16) < TAIL_COUNT, "country code {idx} out of registry");
-        // Synthetic territories get stable generated codes/names. The
-        // leaked &'static str is bounded by TAIL_COUNT distinct values.
-        let code: &'static str = Box::leak(format!("T{tail_index:02}").into_boxed_str());
-        let name: &'static str = Box::leak(format!("Territory {tail_index}").into_boxed_str());
-        Country { code, name }
+    if let Some(named) = NAMED.get(idx) {
+        return named.clone();
     }
+    let tail_index = idx - NAMED.len();
+    assert!(tail_index < usize::from(TAIL_COUNT), "country code {idx} out of registry");
+    let (code, name) = &tail()[tail_index];
+    Country { code, name }
 }
 
 /// Find a named country's code index by its two-letter code.
@@ -111,6 +118,17 @@ mod tests {
         let b = info(CountryCode(NAMED.len() as u16 + 1));
         assert_ne!(a.code, b.code);
         assert!(a.code.starts_with('T'));
+    }
+
+    #[test]
+    fn tail_lookups_share_one_string_per_territory() {
+        // Callers look territories up once per impression and per record,
+        // so a lookup must hand out the same strings, not fresh ones.
+        let code = CountryCode(NAMED.len() as u16 + 7);
+        let (a, b) = (info(code), info(code));
+        assert!(std::ptr::eq(a.code, b.code));
+        assert!(std::ptr::eq(a.name, b.name));
+        assert_eq!((a.code, a.name), ("T07", "Territory 7"));
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod conduit;
 pub mod fault;
 pub mod net;
 pub mod policy;
+mod queue;
 
 pub use addr::Ipv4;
 pub use conduit::{Conduit, ConnToken, IoCtx, Shared};

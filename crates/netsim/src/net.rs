@@ -18,15 +18,23 @@
 //! * **Deterministic teardown** — a side that closes itself is finalized
 //!   (conduit dropped, slot freed) by an explicit event rather than
 //!   lingering until the peer's Close round-trips.
+//!
+//! Events pop in virtual-time order, and events of equal time in the
+//! order they were scheduled. The queue is a monotone radix heap (the
+//! private `queue` module): virtual time never runs backwards, so no
+//! binary heap and no per-event sequence number is needed for that
+//! order. Data payloads travel in buffers the network keeps in a pool:
+//! a send copies into a pooled buffer and delivery hands it back, so a
+//! warm event loop allocates nothing per message.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use tlsfoe_crypto::drbg::{Drbg, RngCore64, SplitMix64};
 
 use crate::addr::Ipv4;
 use crate::conduit::{Conduit, ConnToken, IoCtx};
 use crate::fault::{FaultAction, FaultState};
+use crate::queue::RadixQueue;
 
 pub use crate::conduit::DialError;
 pub use crate::fault::FaultProfile;
@@ -136,6 +144,7 @@ impl std::error::Error for NetRunError {}
 
 enum EventKind {
     Open(ConnToken),
+    /// Bytes for a side, in a buffer taken from the payload pool.
     Data(ConnToken, Vec<u8>),
     Close(ConnToken),
     /// Deterministic teardown of a side that closed itself: drop its
@@ -144,29 +153,6 @@ enum EventKind {
     /// A scheduled callback (see [`Network::after`]); the id indexes the
     /// pending-timer table, so cancelled timers become no-op events.
     Timer(u64),
-}
-
-struct Event {
-    time_us: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_us == other.time_us && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time_us, self.seq).cmp(&(other.time_us, other.seq))
-    }
 }
 
 struct Side {
@@ -250,9 +236,12 @@ impl ConnHalves {
 /// The deterministic event-driven network.
 pub struct Network {
     config: NetworkConfig,
-    now_us: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<Event>>,
+    /// Pending events; its clock is the network's virtual time.
+    events: RadixQueue<EventKind>,
+    /// Spare payload buffers. Every `Data` event takes one and `run`
+    /// returns it after delivery, so the pool holds at most as many
+    /// buffers as data events were ever in flight at once.
+    payloads: Vec<Vec<u8>>,
     sides: Vec<Side>,
     /// Recycled side slots, ready for reuse by `connect_pair`.
     free: Vec<usize>,
@@ -279,9 +268,8 @@ impl Network {
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
         Network {
             config,
-            now_us: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: RadixQueue::new(),
+            payloads: Vec::new(),
             sides: Vec::new(),
             free: Vec::new(),
             listeners: HashMap::new(),
@@ -297,7 +285,7 @@ impl Network {
 
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> u64 {
-        self.now_us
+        self.events.now()
     }
 
     /// Total events processed so far (cumulative over the network's
@@ -412,7 +400,7 @@ impl Network {
         let id = self.next_timer;
         self.next_timer += 1;
         self.timers.insert(id, Box::new(f));
-        self.push_event(delay_us, EventKind::Timer(id));
+        self.events.schedule(delay_us, EventKind::Timer(id));
         id
     }
 
@@ -578,8 +566,8 @@ impl Network {
         if !halves.blackholed {
             // Acceptor learns of the connection after one RTT/2; the
             // initiator after a full RTT (SYN → SYN/ACK).
-            self.push_event(lat, EventKind::Open(b));
-            self.push_event(2 * lat, EventKind::Open(a));
+            self.events.schedule(lat, EventKind::Open(b));
+            self.events.schedule(2 * lat, EventKind::Open(a));
         }
         // A blackholed dial's SYN vanishes: neither endpoint ever sees
         // on_open, the pair just sits until a timeout closes it or
@@ -594,10 +582,11 @@ impl Network {
         }
     }
 
-    fn push_event(&mut self, delay_us: u64, kind: EventKind) {
-        let ev = Event { time_us: self.now_us + delay_us, seq: self.seq, kind };
-        self.seq += 1;
-        self.events.push(Reverse(ev));
+    /// A pooled buffer holding a copy of `bytes`.
+    fn payload(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.payloads.pop().unwrap_or_default();
+        buf.extend_from_slice(bytes);
+        buf
     }
 
     /// The side `tok` refers to, iff the token's generation is current.
@@ -642,25 +631,26 @@ impl Network {
         };
         match action {
             FaultAction::Deliver => {
-                self.push_event(lat, EventKind::Data(peer, bytes.to_vec()));
+                let buf = self.payload(bytes);
+                self.events.schedule(lat, EventKind::Data(peer, buf));
             }
             FaultAction::CorruptByte { offset, mask } => {
                 // One flipped byte; the frame still arrives, so the peer's
                 // parser must surface the damage as a typed error.
-                let mut corrupted = bytes.to_vec();
+                let mut corrupted = self.payload(bytes);
                 if let Some(byte) = corrupted.get_mut(offset) {
                     *byte ^= mask;
                 }
-                self.push_event(lat, EventKind::Data(peer, corrupted));
+                self.events.schedule(lat, EventKind::Data(peer, corrupted));
             }
             FaultAction::TruncateClose { keep } => {
                 // The wire cuts the frame short and the connection dies:
-                // the truncated bytes land first (same timestamp, earlier
-                // seq), then the close. queue_close tears down this side
-                // and notifies the peer.
+                // the truncated bytes land first (same timestamp, scheduled
+                // earlier), then the close. queue_close tears down this
+                // side and notifies the peer.
                 if keep > 0 {
-                    let truncated = bytes.get(..keep).unwrap_or(bytes).to_vec();
-                    self.push_event(lat, EventKind::Data(peer, truncated));
+                    let truncated = self.payload(bytes.get(..keep).unwrap_or(bytes));
+                    self.events.schedule(lat, EventKind::Data(peer, truncated));
                 }
                 self.queue_close(from);
             }
@@ -681,11 +671,11 @@ impl Network {
         side.open = false;
         let peer = side.peer;
         let lat = side.latency_us;
-        self.push_event(lat, EventKind::Close(peer));
+        self.events.schedule(lat, EventKind::Close(peer));
         // The closing side is done sending and receiving: tear it down
         // deterministically (drop the conduit, recycle the slot) instead
         // of retaining the Box until the peer's Close round-trips.
-        self.push_event(0, EventKind::Finalize(from));
+        self.events.schedule(0, EventKind::Finalize(from));
     }
 
     /// Run until quiescence (no pending events) or the per-run event cap.
@@ -695,20 +685,23 @@ impl Network {
     /// queued; the network should be considered wedged).
     pub fn run(&mut self) -> Result<u64, NetRunError> {
         let mut n = 0;
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.now_us = ev.time_us;
+        while let Some((now_us, kind)) = self.events.pop() {
             self.processed += 1;
             n += 1;
             if n > self.config.max_events {
                 return Err(NetRunError {
                     max_events: self.config.max_events,
                     events_this_run: n,
-                    now_us: self.now_us,
+                    now_us,
                 });
             }
-            match ev.kind {
+            match kind {
                 EventKind::Open(tok) => self.deliver_open(tok),
-                EventKind::Data(tok, bytes) => self.deliver_data(tok, &bytes),
+                EventKind::Data(tok, mut bytes) => {
+                    self.deliver_data(tok, &bytes);
+                    bytes.clear();
+                    self.payloads.push(bytes);
+                }
                 EventKind::Close(tok) => self.deliver_close(tok),
                 EventKind::Finalize(tok) => self.release(tok),
                 EventKind::Timer(id) => {
@@ -1465,6 +1458,38 @@ mod tests {
             [("a", 1_000), ("b", 5_000), ("c", 9_000)],
             "timers must fire in timestamp order at their scheduled times"
         );
+    }
+
+    #[test]
+    fn equal_time_events_fire_in_scheduling_order_across_runs() {
+        // Several `run()` calls on one network. Each round schedules
+        // equal-time timers, a far deadline next to 1 µs hops, and a
+        // zero-delay timer from inside a callback, which must fire after
+        // the peer already due at that time.
+        let fired = Shared::new(Vec::new());
+        let mut net = Network::new(NetworkConfig::default(), 33);
+        for round in 0..3u64 {
+            let start = net.now_us();
+            for (tag, delay) in [(0u8, 20_000u64), (1, 1), (2, 20_000), (3, 15_000_000), (4, 1)] {
+                let fired = fired.clone();
+                net.after(delay, move |net| {
+                    fired.lock().push((round, tag, net.now_us() - start));
+                    if tag == 1 {
+                        net.after(0, move |net| {
+                            fired.lock().push((round, 5, net.now_us() - start))
+                        });
+                    }
+                });
+            }
+            net.run().unwrap();
+        }
+        let expected: Vec<_> = (0..3u64)
+            .flat_map(|round| {
+                [(1, 1), (4, 1), (5, 1), (0, 20_000), (2, 20_000), (3, 15_000_000)]
+                    .map(|(tag, at)| (round, tag, at))
+            })
+            .collect();
+        assert_eq!(*fired.lock(), expected);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!    * **masks** the invalid upstream behind a trusted substitute
 //!      (Kurupira — the §5.2 vulnerability).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -235,7 +236,7 @@ impl Conduit for ClientSide {
                                     continue;
                                 }
                                 s.client_version = ch.version;
-                                s.sni = ch.server_name.clone();
+                                s.sni = ch.server_name.map(Cow::into_owned);
                                 let host = s.sni_host();
                                 let whitelisted = s.whitelist.contains(&host);
                                 let dst = s.dst;
@@ -260,8 +261,7 @@ impl Conduit for ClientSide {
                                     let shared = self.shared.clone();
                                     drop(s);
                                     let outcome = ProbeOutcome::new();
-                                    let probe =
-                                        ProbeClient::new(&host, [0xA5; 32], outcome.clone());
+                                    let probe = ProbeClient::new(host, [0xA5; 32], outcome.clone());
                                     let up = io.dial(
                                         dst,
                                         443,
@@ -462,7 +462,7 @@ mod tests {
                 client_ip(),
                 srv_ip(),
                 443,
-                Box::new(ProbeClient::new(host, [9u8; 32], outcome.clone())),
+                Box::new(ProbeClient::new(host.to_owned(), [9u8; 32], outcome.clone())),
             )
             .unwrap();
         world.net.run().unwrap();

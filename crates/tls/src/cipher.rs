@@ -28,8 +28,8 @@ impl CipherSuite {
     pub const ECDHE_RSA_AES_256_CBC_SHA: CipherSuite = CipherSuite(0xc014);
 
     /// The suite list a 2014 Flash-era client offers, preference order.
-    pub fn default_client_offer() -> Vec<CipherSuite> {
-        vec![
+    pub fn default_client_offer() -> &'static [CipherSuite] {
+        &[
             Self::ECDHE_RSA_AES_256_CBC_SHA,
             Self::ECDHE_RSA_AES_128_CBC_SHA,
             Self::RSA_AES_256_CBC_SHA,

@@ -5,6 +5,8 @@
 //! §6.3), ServerHello, Certificate (the payload the whole study is
 //! about), ServerHelloDone and Alert.
 
+use std::borrow::Cow;
+
 use crate::cipher::CipherSuite;
 use crate::record::ProtocolVersion;
 use crate::wire::{WireReader, WireWriter};
@@ -48,10 +50,11 @@ pub struct ClientHello {
     pub random: [u8; 32],
     /// Session id (empty for fresh handshakes).
     pub session_id: Vec<u8>,
-    /// Offered cipher suites, preference order.
-    pub cipher_suites: Vec<CipherSuite>,
+    /// Offered cipher suites, preference order. A client borrows its
+    /// static offer; a decoded hello owns what it read.
+    pub cipher_suites: Cow<'static, [CipherSuite]>,
     /// Server name indication, if offered.
-    pub server_name: Option<String>,
+    pub server_name: Option<Cow<'static, str>>,
 }
 
 impl ClientHello {
@@ -64,7 +67,7 @@ impl ClientHello {
         w.bytes(&self.random);
         w.vec8(&self.session_id);
         w.with_len16(|w| {
-            for s in &self.cipher_suites {
+            for s in self.cipher_suites.iter() {
                 w.u16(s.0);
             }
         });
@@ -97,7 +100,8 @@ impl ClientHello {
         let cipher_suites = suites_raw
             .chunks_exact(2)
             .map(|c| CipherSuite(u16::from_be_bytes(c.try_into().unwrap_or([0, 0]))))
-            .collect();
+            .collect::<Vec<_>>()
+            .into();
         let _compression = r.vec8()?;
         let mut server_name = None;
         if !r.is_done() {
@@ -113,7 +117,7 @@ impl ClientHello {
                     let name_type = lr.u8()?;
                     let name = lr.vec16()?;
                     if name_type == 0 {
-                        server_name = Some(String::from_utf8_lossy(name).into_owned());
+                        server_name = Some(String::from_utf8_lossy(name).into_owned().into());
                     }
                 }
             }
@@ -377,7 +381,7 @@ mod tests {
             version: ProtocolVersion::Tls10,
             random: [7u8; 32],
             session_id: vec![],
-            cipher_suites: CipherSuite::default_client_offer(),
+            cipher_suites: CipherSuite::default_client_offer().into(),
             server_name: Some("tlsresearch.byu.edu".into()),
         }
     }

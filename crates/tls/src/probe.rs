@@ -10,6 +10,8 @@
 //! 4. leave the captured chain in a shared [`ProbeOutcome`] cell for the
 //!    reporting stage.
 
+use std::borrow::Cow;
+
 use tlsfoe_netsim::{Conduit, IoCtx, Shared};
 
 use crate::cipher::CipherSuite;
@@ -98,7 +100,9 @@ impl ProbeOutcome {
 
 /// The probing conduit.
 pub struct ProbeClient {
-    host: String,
+    /// SNI host name; borrowed when the caller's name is `'static`, as
+    /// the study's catalog names are, so a dial copies no string.
+    host: Cow<'static, str>,
     version: ProtocolVersion,
     random: [u8; 32],
     outcome: Shared<ProbeOutcome>,
@@ -111,9 +115,13 @@ impl ProbeClient {
     ///
     /// `random` seeds the ClientHello randomness — callers derive it from
     /// the experiment DRBG for reproducibility.
-    pub fn new(host: &str, random: [u8; 32], outcome: Shared<ProbeOutcome>) -> Self {
+    pub fn new(
+        host: impl Into<Cow<'static, str>>,
+        random: [u8; 32],
+        outcome: Shared<ProbeOutcome>,
+    ) -> Self {
         ProbeClient {
-            host: host.to_string(),
+            host: host.into(),
             version: ProtocolVersion::Tls10,
             random,
             outcome,
@@ -148,7 +156,7 @@ impl Conduit for ProbeClient {
             version: self.version,
             random: self.random,
             session_id: Vec::new(),
-            cipher_suites: CipherSuite::default_client_offer(),
+            cipher_suites: CipherSuite::default_client_offer().into(),
             server_name: Some(self.host.clone()),
         });
         io.send(&encode_single_record_with(ContentType::Handshake, self.version, |w| {
